@@ -21,7 +21,7 @@
 //!    self-relative speedup curve (plus `host_cores`, since the curve is
 //!    a property of the machine). The load-balance variant
 //!    ([`measure_lb_sweep`]) times the quick BFS under every
-//!    `LoadBalancer` discipline and delta-stepping vs Dijkstra-order
+//!    `LoadBalance` discipline and delta-stepping vs Dijkstra-order
 //!    SSSP, recording the redundant-work/migration counters alongside.
 //! 3. **The trajectory file** ([`TrajectoryEntry`], [`read_trajectory`],
 //!    [`append_entries`], [`check_regression`]): a committed, append-only

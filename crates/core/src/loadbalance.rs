@@ -1,32 +1,32 @@
-//! Programmable frontier→PE load balancing (ROADMAP item 3; DESIGN.md §10).
+//! Frontier→PE load balancing (DESIGN.md §10).
 //!
 //! The paper's scheduling loop hard-codes *owner-computes*: every task is
 //! processed by the PE that owns its vertex, so a skewed frontier leaves
 //! some PEs idle while the hub owner grinds (the `atos-profile` "skewed"
-//! verdict). gunrock-loops argues the fix is to decouple *load balancing*
-//! from *work processing* behind a programmable interface; this module is
-//! that interface for the simulated runtime.
+//! verdict). This module names the closed set of disciplines the
+//! simulated runtime can use instead, as the [`LoadBalance`] enum; the
+//! runtime reads `AtosConfig::lb` and asks the enum the few questions
+//! that differ between disciplines.
 //!
-//! A [`LoadBalancer`] decides, at the moment a PE pops an empty queue,
-//! whether and how it may *pull* work from a busier in-shard peer. The
-//! pull happens at pop time — queues never hold foreign tasks, and every
-//! stolen task is still **processed under the victim's identity**
-//! (`process(victim, task)`), so owner-computes state, sender-side
-//! mirrors, and the shard-escape discipline are untouched. Only the
-//! *busy time* of the work moves to the thief, which is exactly the
-//! hardware analogy: a stolen `pop_group` executes on the thief's SMs
-//! while the data it touches stays where it lives.
+//! A stealing discipline lets a PE that pops an empty queue *pull* work
+//! from a busier in-shard peer. The pull happens at pop time — queues
+//! never hold foreign tasks, and every stolen task is still **processed
+//! under the victim's identity** (`process(victim, task)`), so
+//! owner-computes state, sender-side mirrors, and the shard-escape
+//! discipline are untouched. Only the *busy time* of the work moves to
+//! the thief, which is exactly the hardware analogy: a stolen
+//! `pop_group` executes on the thief's SMs while the data it touches
+//! stays where it lives.
 //!
-//! Four disciplines ship (selected via [`LoadBalance`] on
-//! `AtosConfig::lb` / `--load-balance`):
+//! Four disciplines ship (selected via `AtosConfig::lb` /
+//! `--load-balance`):
 //!
 //! * [`LoadBalance::Owner`] — the paper's static owner-computes; never
-//!   steals. Byte-identical to the pre-trait runtime at every shard
-//!   count.
+//!   steals. Byte-identical at every shard count.
 //! * [`LoadBalance::Steal`] — work stealing: an idle PE pulls up to one
 //!   group (the queue substrate's `pop_group` reservation width, = the
 //!   `CommMode::Direct` coalescing group of 32) from the longest
-//!   in-shard queue.
+//!   in-shard queue, leaving the victim at least half its backlog.
 //! * [`LoadBalance::Chunk`] — chunked/merge-path partitioning for
 //!   power-law skew: victims are ranked by *pending edge count* (the
 //!   merge-path diagonal), and a steal pulls tasks until half the
@@ -84,7 +84,7 @@ impl LoadBalance {
     }
 
     /// Stable numeric code recorded in `RunStats::lb_discipline` (metric
-    /// `lb.discipline`), so profiles can name the active balancer.
+    /// `lb.discipline`), so profiles can name the active discipline.
     pub const fn code(self) -> u8 {
         match self {
             LoadBalance::Owner => 0,
@@ -103,187 +103,50 @@ impl LoadBalance {
     pub fn from_code(code: u8) -> Option<Self> {
         LoadBalance::ALL.into_iter().find(|lb| lb.code() == code)
     }
-}
 
-/// One frontier→PE work-assignment discipline.
-///
-/// The runtime consults the balancer from a PE's step path, so every
-/// method must be allocation-free and O(1); the victim scan itself is
-/// done by the runtime (a linear pass over the shard's PEs) using
-/// [`victim_score`](LoadBalancer::victim_score) so no candidate list is
-/// ever materialized.
-pub trait LoadBalancer: Send {
-    /// Stable lowercase discipline name.
-    fn name(&self) -> &'static str;
-
-    /// Stable numeric code (see [`LoadBalance::code`]).
-    fn code(&self) -> u8;
-
-    /// Maximum tasks one steal may pull; `0` disables stealing entirely
-    /// (the runtime then skips the victim scan).
-    fn steal_grain(&self) -> usize {
-        0
+    /// Whether an idle PE may pull work from a busier in-shard peer (and
+    /// a PE whose backlog survives a step wakes drained peers to try).
+    #[inline]
+    pub const fn steals(self) -> bool {
+        matches!(self, LoadBalance::Steal | LoadBalance::Chunk)
     }
 
-    /// Whether the runtime must maintain per-PE pending-edge estimates
-    /// (needed by edge-aware victim ranking; costs one `task_edges` call
-    /// per push).
-    fn tracks_edges(&self) -> bool {
-        false
-    }
-
-    /// Whether a PE that finishes a step with a still-deep queue should
-    /// wake idle in-shard peers so they get a chance to steal.
-    fn wakes_idle_peers(&self) -> bool {
-        false
+    /// Whether the runtime maintains per-PE pending-edge counts (one
+    /// `task_edges` call per push), which edge-aware victim ranking and
+    /// steal budgets read.
+    #[inline]
+    pub const fn tracks_edges(self) -> bool {
+        matches!(self, LoadBalance::Chunk)
     }
 
     /// Score a candidate victim; the runtime steals from the
-    /// highest-scoring PE (ties to the lowest index), and a score of `0`
-    /// marks the candidate not stealable.
-    fn victim_score(&self, _queue_len: usize, _pending_edges: u64) -> u64 {
-        0
-    }
-
-    /// How many tasks to pull from the chosen victim (already capped by
-    /// [`steal_grain`](LoadBalancer::steal_grain) by the runtime).
-    fn steal_count(&self, _victim_len: usize) -> usize {
-        0
+    /// highest-scoring PE (ties to the lowest index), and `0` marks the
+    /// candidate not stealable. A victim keeps at least one task, so a
+    /// queue of one never scores.
+    #[inline]
+    pub fn victim_score(self, queue_len: usize, pending_edges: u64) -> u64 {
+        if queue_len < 2 {
+            return 0;
+        }
+        match self {
+            LoadBalance::Steal => queue_len as u64,
+            // Rank by edges; `max(1)` keeps an edge-free but deep queue
+            // stealable (zero-degree frontiers still cost task overhead).
+            LoadBalance::Chunk => pending_edges.max(1),
+            LoadBalance::Owner | LoadBalance::Priority => 0,
+        }
     }
 
     /// Edge budget bounding one steal: the runtime stops pulling once the
-    /// stolen tasks' `task_edges` reach this. `u64::MAX` = unbounded
-    /// (task-count-bounded stealing).
-    fn edge_budget(&self, _victim_pending_edges: u64) -> u64 {
-        u64::MAX
-    }
-}
-
-/// The paper's static owner-computes assignment: work never moves.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct OwnerComputes;
-
-impl LoadBalancer for OwnerComputes {
-    fn name(&self) -> &'static str {
-        LoadBalance::Owner.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Owner.code()
-    }
-}
-
-/// Group-granularity work stealing: idle PEs pull up to [`STEAL_GRAIN`]
-/// tasks from the longest in-shard queue, leaving the victim at least
-/// half its backlog.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct WorkStealing;
-
-impl LoadBalancer for WorkStealing {
-    fn name(&self) -> &'static str {
-        LoadBalance::Steal.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Steal.code()
-    }
-
-    fn steal_grain(&self) -> usize {
-        STEAL_GRAIN
-    }
-
-    fn wakes_idle_peers(&self) -> bool {
-        true
-    }
-
-    fn victim_score(&self, queue_len: usize, _pending_edges: u64) -> u64 {
-        // A victim must keep at least one task, so a queue of one is not
-        // worth a reservation.
-        if queue_len >= 2 {
-            queue_len as u64
-        } else {
-            0
+    /// stolen tasks' `task_edges` reach this. Chunked steals move half
+    /// the victim's pending edges (at least one task); every other
+    /// discipline is bounded by task count alone (`u64::MAX`).
+    #[inline]
+    pub fn edge_budget(self, victim_pending_edges: u64) -> u64 {
+        match self {
+            LoadBalance::Chunk => (victim_pending_edges / 2).max(1),
+            _ => u64::MAX,
         }
-    }
-
-    fn steal_count(&self, victim_len: usize) -> usize {
-        victim_len / 2
-    }
-}
-
-/// Merge-path-style chunked stealing: victims are ranked by pending
-/// *edge* count and a steal moves roughly half the victim's pending
-/// edges, so power-law hubs split by adjacency size instead of vertex
-/// count.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ChunkedFrontier;
-
-impl LoadBalancer for ChunkedFrontier {
-    fn name(&self) -> &'static str {
-        LoadBalance::Chunk.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Chunk.code()
-    }
-
-    fn steal_grain(&self) -> usize {
-        STEAL_GRAIN
-    }
-
-    fn tracks_edges(&self) -> bool {
-        true
-    }
-
-    fn wakes_idle_peers(&self) -> bool {
-        true
-    }
-
-    fn victim_score(&self, queue_len: usize, pending_edges: u64) -> u64 {
-        if queue_len >= 2 {
-            // Rank by edges; `max(1)` keeps an edge-free but deep queue
-            // stealable (zero-degree frontiers still cost task overhead).
-            pending_edges.max(1)
-        } else {
-            0
-        }
-    }
-
-    fn steal_count(&self, victim_len: usize) -> usize {
-        // Edge budget is the binding constraint; the count bound merely
-        // keeps zero-edge tasks from draining the whole queue.
-        victim_len / 2
-    }
-
-    fn edge_budget(&self, victim_pending_edges: u64) -> u64 {
-        (victim_pending_edges / 2).max(1)
-    }
-}
-
-/// Priority-aware scheduling: no work movement; the runtime instead
-/// normalizes FIFO queues to priority buckets (threshold 1, delta 1) so
-/// the application's `priority()` — e.g. delta-stepping SSSP's bucket
-/// index — orders processing.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PriorityAware;
-
-impl LoadBalancer for PriorityAware {
-    fn name(&self) -> &'static str {
-        LoadBalance::Priority.name()
-    }
-
-    fn code(&self) -> u8 {
-        LoadBalance::Priority.code()
-    }
-}
-
-/// Construct the balancer for a discipline selector.
-pub fn make_balancer(lb: LoadBalance) -> Box<dyn LoadBalancer> {
-    match lb {
-        LoadBalance::Owner => Box::new(OwnerComputes),
-        LoadBalance::Steal => Box::new(WorkStealing),
-        LoadBalance::Chunk => Box::new(ChunkedFrontier),
-        LoadBalance::Priority => Box::new(PriorityAware),
     }
 }
 
@@ -296,9 +159,6 @@ mod tests {
         for lb in LoadBalance::ALL {
             assert_eq!(LoadBalance::parse(lb.name()), Some(lb));
             assert_eq!(LoadBalance::from_code(lb.code()), Some(lb));
-            let b = make_balancer(lb);
-            assert_eq!(b.name(), lb.name());
-            assert_eq!(b.code(), lb.code());
         }
         assert_eq!(LoadBalance::parse("merge-path"), None);
         assert_eq!(LoadBalance::from_code(99), None);
@@ -307,36 +167,35 @@ mod tests {
     #[test]
     fn owner_and_priority_never_steal() {
         for lb in [LoadBalance::Owner, LoadBalance::Priority] {
-            let b = make_balancer(lb);
-            assert_eq!(b.steal_grain(), 0);
-            assert_eq!(b.victim_score(1_000, 1_000_000), 0);
-            assert_eq!(b.steal_count(1_000), 0);
-            assert!(!b.wakes_idle_peers());
-            assert!(!b.tracks_edges());
+            assert!(!lb.steals());
+            assert!(!lb.tracks_edges());
+            assert_eq!(lb.victim_score(1_000, 1_000_000), 0);
+            assert_eq!(lb.edge_budget(1_000), u64::MAX);
         }
     }
 
     #[test]
-    fn stealing_ranks_by_queue_length_and_leaves_half() {
-        let b = WorkStealing;
-        assert_eq!(b.victim_score(0, 0), 0);
-        assert_eq!(b.victim_score(1, 0), 0, "victim keeps its last task");
-        assert_eq!(b.victim_score(10, 0), 10);
-        assert!(b.victim_score(64, 0) > b.victim_score(8, 0));
-        assert_eq!(b.steal_count(10), 5);
-        assert_eq!(b.edge_budget(123), u64::MAX, "count-bounded, not edge-bounded");
-        assert!(b.wakes_idle_peers());
-        assert_eq!(b.steal_grain(), STEAL_GRAIN);
+    fn stealing_ranks_by_queue_length() {
+        let lb = LoadBalance::Steal;
+        assert!(lb.steals());
+        assert!(!lb.tracks_edges());
+        assert_eq!(lb.victim_score(0, 0), 0);
+        assert_eq!(lb.victim_score(1, 0), 0, "victim keeps its last task");
+        assert_eq!(lb.victim_score(10, 0), 10);
+        assert!(lb.victim_score(64, 0) > lb.victim_score(8, 0));
+        assert_eq!(lb.edge_budget(123), u64::MAX, "count-bounded");
     }
 
     #[test]
     fn chunking_ranks_by_edges_and_budgets_half() {
-        let b = ChunkedFrontier;
-        assert!(b.tracks_edges());
+        let lb = LoadBalance::Chunk;
+        assert!(lb.steals());
+        assert!(lb.tracks_edges());
         // A short queue with a hub beats a long queue of leaves.
-        assert!(b.victim_score(2, 10_000) > b.victim_score(100, 100));
-        assert_eq!(b.victim_score(1, 10_000), 0, "victim keeps its last task");
-        assert_eq!(b.edge_budget(10_000), 5_000);
-        assert_eq!(b.edge_budget(0), 1, "zero-edge steals still move one task");
+        assert!(lb.victim_score(2, 10_000) > lb.victim_score(100, 100));
+        assert_eq!(lb.victim_score(1, 10_000), 0, "victim keeps its last task");
+        assert_eq!(lb.victim_score(5, 0), 1, "edge-free deep queue stealable");
+        assert_eq!(lb.edge_budget(10_000), 5_000);
+        assert_eq!(lb.edge_budget(0), 1, "zero-edge steals still move one task");
     }
 }

@@ -40,7 +40,7 @@ use crate::aggregator::AggBuffer;
 use crate::app::{Application, IdleOutcome, ShardableApp};
 use crate::config::{AtosConfig, CommMode, KernelMode, QueueMode};
 use crate::emitter::Emitter;
-use crate::loadbalance::{make_balancer, LoadBalance, LoadBalancer};
+use crate::loadbalance::{LoadBalance, STEAL_GRAIN};
 use crate::metrics::RunStats;
 use crate::profile::{self, FlightLog, ShardProfile, WindowRecord};
 use crate::sharded::{ExchangeBoard, SpinBarrier};
@@ -201,18 +201,15 @@ pub struct Runtime<A: Application, Tr: Tracer = NullTracer> {
     /// or the `k <= 1` / shard-conflict fallback). See
     /// [`Runtime::take_shard_profile`].
     shard_profile: Option<ShardProfile>,
-    /// Frontier→PE work-assignment discipline (built from `cfg.lb`).
-    /// Owner-computes never steals, so the default compiles the steal
-    /// paths down to a single `steal_grain() == 0` check per empty pop.
-    balancer: Box<dyn LoadBalancer>,
     /// PE range steals may draw from: the whole machine sequentially, the
     /// owning shard's `lo..hi` under `run_sharded` — work never migrates
     /// across shards, which is what keeps each shard's event order
     /// sequential and the PDES protocol conservative.
     lb_range: (usize, usize),
     /// Per-PE pending-edge estimate (`task_edges` of every queued task),
-    /// maintained only when the balancer ranks victims by edges
-    /// ([`LoadBalancer::tracks_edges`]); otherwise stays all-zero.
+    /// maintained only when the discipline ranks victims by edges
+    /// ([`LoadBalance::tracks_edges`]); otherwise it stays all-zero, so
+    /// the victim scan and the debits read it unconditionally.
     pending_edges: Vec<u64>,
 }
 
@@ -302,7 +299,6 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             merge_last: vec![(Time::MAX, usize::MAX); n],
             tracer,
             shard_profile: None,
-            balancer: make_balancer(cfg.lb),
             lb_range: (0, n),
             pending_edges: vec![0; n],
         }
@@ -344,15 +340,23 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     /// steps are created by `run`'s bootstrap in ascending PE order, so
     /// seeding order never influences the event sequence.
     pub fn seed(&mut self, pe: usize, tasks: impl IntoIterator<Item = A::Task>) {
-        let track_edges = self.balancer.tracks_edges();
         for t in tasks {
-            let prio = self.app.priority(&t);
-            if track_edges {
-                self.pending_edges[pe] += self.app.task_edges(&t);
-            }
-            self.pes[pe].queue.push(t, prio);
+            self.enqueue(pe, t);
         }
         self.note_queue_depth(pe);
+    }
+
+    /// Push one task onto `pe`'s queue at the application's priority,
+    /// crediting its edges to the PE's pending-edge estimate when the
+    /// discipline tracks them.
+    #[inline]
+    #[atos_hot]
+    fn enqueue(&mut self, pe: usize, t: A::Task) {
+        let prio = self.app.priority(&t);
+        if self.cfg.lb.tracks_edges() {
+            self.pending_edges[pe] += self.app.task_edges(&t);
+        }
+        self.pes[pe].queue.push(t, prio);
     }
 
     /// Track the worklist occupancy high-water mark after a push burst.
@@ -542,7 +546,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         // the owner — while busy time and step accounting stay on the
         // thief: the work moved, the data did not.
         let mut exec_pe = pe;
-        if got == 0 && self.balancer.steal_grain() != 0 {
+        if got == 0 && self.cfg.lb.steals() {
             if let Some(victim) = self.pick_victim(pe) {
                 got = self.steal_from(victim, cap, &mut batch);
                 if got > 0 {
@@ -582,7 +586,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             self.app.process(exec_pe, t, &mut em);
         }
         self.stats.edges_per_pe[pe] += edges;
-        if exec_pe == pe && self.balancer.tracks_edges() {
+        if exec_pe == pe {
             // Stolen batches were already debited inside `steal_from`.
             self.pending_edges[pe] = self.pending_edges[pe].saturating_sub(edges);
         }
@@ -637,7 +641,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
             self.pes[pe].step_scheduled = true;
             self.engine.schedule_in(busy, Ev::Step { pe });
         }
-        if self.balancer.wakes_idle_peers() && !self.pes[exec_pe].queue.is_empty() {
+        if self.cfg.lb.steals() && !self.pes[exec_pe].queue.is_empty() {
             // Backlog survived this round: give drained in-range peers a
             // steal attempt when the batch's busy window closes.
             self.wake_idle_peers(pe, busy);
@@ -645,21 +649,22 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     }
 
     /// Choose a steal victim for `thief`: the in-range PE with the
-    /// highest balancer score (ties to the lowest index). `None` when no
-    /// peer is stealable — the common case, and the only extra cost the
-    /// stealing disciplines add to a quiescing run.
+    /// highest [`LoadBalance::victim_score`] (ties to the lowest index).
+    /// `None` when no peer is stealable — the common case, and the only
+    /// extra cost the stealing disciplines add to a quiescing run.
     #[atos_hot]
     fn pick_victim(&self, thief: usize) -> Option<usize> {
         let (lo, hi) = self.lb_range;
-        let track_edges = self.balancer.tracks_edges();
         let mut best = 0u64;
         let mut victim = None;
         for v in lo..hi {
             if v == thief {
                 continue;
             }
-            let edges = if track_edges { self.pending_edges[v] } else { 0 };
-            let score = self.balancer.victim_score(self.pes[v].queue.len(), edges);
+            let score = self
+                .cfg
+                .lb
+                .victim_score(self.pes[v].queue.len(), self.pending_edges[v]);
             if score > best {
                 best = score;
                 victim = Some(v);
@@ -668,20 +673,17 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         victim
     }
 
-    /// Pull up to one steal group from `victim` into `batch`, bounded by
-    /// the thief's round capacity and the balancer's edge budget; returns
+    /// Pull up to half the victim's queue into `batch`, at most one
+    /// [`STEAL_GRAIN`] group and bounded by the thief's round capacity
+    /// and the discipline's [`LoadBalance::edge_budget`]; returns
     /// the count taken and books the steal counters. One task per pop so
     /// the edge budget can stop a chunked steal mid-group — the simulator
     /// analog of a bounded `pop_group` reservation against the victim's
     /// published `end` counter.
     #[atos_hot]
     fn steal_from(&mut self, victim: usize, cap: usize, batch: &mut Vec<A::Task>) -> usize {
-        let budget = self.balancer.edge_budget(self.pending_edges[victim]);
-        let want = self
-            .balancer
-            .steal_count(self.pes[victim].queue.len())
-            .min(self.balancer.steal_grain())
-            .min(cap);
+        let budget = self.cfg.lb.edge_budget(self.pending_edges[victim]);
+        let want = (self.pes[victim].queue.len() / 2).min(STEAL_GRAIN).min(cap);
         let mut taken = 0usize;
         let mut edges_taken = 0u64;
         while taken < want && edges_taken < budget {
@@ -695,9 +697,7 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
         if taken == 0 {
             return 0;
         }
-        if self.balancer.tracks_edges() {
-            self.pending_edges[victim] = self.pending_edges[victim].saturating_sub(edges_taken);
-        }
+        self.pending_edges[victim] = self.pending_edges[victim].saturating_sub(edges_taken);
         self.stats.lb_steals += 1;
         self.stats.lb_stolen_tasks += taken as u64;
         self.stats.lb_stolen_edges += edges_taken;
@@ -727,13 +727,8 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
 
     #[atos_hot]
     fn absorb_local(&mut self, pe: usize, em: &mut Emitter<A::Task>) {
-        let track_edges = self.balancer.tracks_edges();
         for t in em.local.drain(..) {
-            let prio = self.app.priority(&t);
-            if track_edges {
-                self.pending_edges[pe] += self.app.task_edges(&t);
-            }
-            self.pes[pe].queue.push(t, prio);
+            self.enqueue(pe, t);
         }
         self.note_queue_depth(pe);
     }
@@ -962,16 +957,11 @@ impl<A: Application, Tr: Tracer> Runtime<A, Tr> {
     #[atos_hot]
     fn arrive(&mut self, dst: usize, mut tasks: Vec<A::Task>) {
         let mut enqueued = false;
-        let track_edges = self.balancer.tracks_edges();
         for t in tasks.drain(..) {
             // One-sided destination-side effect (e.g. the RDMA atomicMin):
             // only improved updates enter the queue.
             if let Some(t2) = self.app.on_receive(dst, t) {
-                let prio = self.app.priority(&t2);
-                if track_edges {
-                    self.pending_edges[dst] += self.app.task_edges(&t2);
-                }
-                self.pes[dst].queue.push(t2, prio);
+                self.enqueue(dst, t2);
                 enqueued = true;
             }
         }

@@ -340,6 +340,7 @@ fn every_hot_runtime_fn_is_covered_by_a_counted_scenario() {
         ("wake", "both relays: remote arrivals wake the idle peer PE"),
         ("step", "both relays: every scheduling step"),
         ("absorb_local", "both relays: emitter drain after each step"),
+        ("enqueue", "both relays: every queue push"),
         ("dispatch_remote", "both relays: every hop is a remote push"),
         ("flush_bundle", "aggregated relay: age trigger flushes each bundle"),
         ("route", "both relays: fabric routing for every message"),

@@ -41,6 +41,19 @@ fn malformed(msg: impl Into<String>) -> ParseError {
     ParseError::Malformed(msg.into())
 }
 
+/// Most edges preallocated from a header's declared count. Headers are
+/// untrusted: a declared count only sizes the first allocation, and the
+/// edge list grows past it as entries are actually read.
+const MAX_PREALLOC_EDGES: usize = 1 << 20;
+
+/// Reject vertex counts that do not fit [`VertexId`], before any cast.
+fn check_vertex_count(n: usize) -> Result<usize, ParseError> {
+    if n > u32::MAX as usize {
+        return Err(malformed(format!("{n} vertices exceed the u32 id space")));
+    }
+    Ok(n)
+}
+
 /// Read a Matrix Market coordinate file as a directed graph.
 ///
 /// Supports `%%MatrixMarket matrix coordinate <field> <symmetry>` with
@@ -76,9 +89,11 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ParseError> {
     let [rows, cols, nnz] = dims[..] else {
         return Err(malformed("size line needs rows cols nnz"));
     };
-    let n = rows.max(cols);
+    let n = check_vertex_count(rows.max(cols))?;
 
-    let mut edges = Vec::with_capacity(if symmetric { nnz * 2 } else { nnz });
+    let prealloc = nnz.min(MAX_PREALLOC_EDGES);
+    let mut edges = Vec::with_capacity(if symmetric { 2 * prealloc } else { prealloc });
+    let mut entries = 0usize;
     for line in lines {
         let line = line?;
         let t = line.trim();
@@ -100,15 +115,15 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<Csr, ParseError> {
             return Err(malformed(format!("index out of range: {u} {v}")));
         }
         let (u, v) = ((u - 1) as VertexId, (v - 1) as VertexId);
+        entries += 1;
         edges.push((u, v));
         if symmetric && u != v {
             edges.push((v, u));
         }
     }
-    if edges.len() < nnz {
+    if entries != nnz {
         return Err(malformed(format!(
-            "expected {nnz} entries, found {}",
-            edges.len()
+            "expected {nnz} entries, found {entries}"
         )));
     }
     Ok(Csr::from_edges(n, &edges))
@@ -142,8 +157,12 @@ pub fn read_dimacs<R: Read>(reader: R) -> Result<Csr, ParseError> {
                 if parts.len() < 4 || parts[1] != "sp" {
                     return Err(malformed(format!("bad problem line: {t}")));
                 }
-                n = parts[2].parse().map_err(|_| malformed("bad vertex count"))?;
-                edges.reserve(parts[3].parse().unwrap_or(0));
+                let count = parts[2]
+                    .parse()
+                    .map_err(|_| malformed("bad vertex count"))?;
+                n = check_vertex_count(count)?;
+                let declared: usize = parts[3].parse().unwrap_or(0);
+                edges.reserve(declared.min(MAX_PREALLOC_EDGES));
             }
             Some('a') => {
                 let mut it = t.split_whitespace().skip(1);
@@ -222,12 +241,64 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_headers_and_indices() {
-        assert!(read_matrix_market("%%MatrixMarket matrix array real general\n1 1 0\n".as_bytes()).is_err());
-        assert!(read_matrix_market("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n".as_bytes()).is_err());
-        assert!(read_matrix_market("".as_bytes()).is_err());
-        assert!(read_dimacs("a 1 2 1\n".as_bytes()).is_err(), "arc before problem line");
-        assert!(read_dimacs("p sp 2 1\nz nonsense\n".as_bytes()).is_err());
+    fn malformed_inputs_are_errors_not_panics() {
+        const MM: &str = "%%MatrixMarket matrix coordinate pattern general\n";
+        const MM_SYM: &str = "%%MatrixMarket matrix coordinate pattern symmetric\n";
+        let mm_cases = [
+            String::new(),
+            "%%MatrixMarket matrix array real general\n1 1 0\n".to_string(),
+            MM.to_string(),
+            format!("{MM}% only comments\n"),
+            format!("{MM}2 2\n"),
+            format!("{MM}2 2 1 7\n1 2\n"),
+            format!("{MM}x 2 1\n1 2\n"),
+            format!("{MM}-1 2 1\n1 2\n"),
+            format!("{MM}2 2 99999999999999999999999\n"),
+            // A huge declared entry count must not size an allocation.
+            format!("{MM}2 2 1000000000000000\n1 2\n"),
+            format!("{MM_SYM}2 2 {}\n1 2\n", usize::MAX),
+            format!("{MM}4294967296 1 1\n1 1\n"),
+            format!("{MM}4294967297 4294967297 0\n"),
+            format!("{MM}2 2 1\n"),
+            format!("{MM}2 2 1\n0 1\n"),
+            format!("{MM}2 2 1\n3 1\n"),
+            format!("{MM}2 2 1\n1\n"),
+            format!("{MM}2 2 1\n1 b\n"),
+            format!("{MM}2 2 1\n1 2\n2 1\n"),
+            // Entries are counted per line, not per stored direction.
+            format!("{MM_SYM}3 3 2\n2 1\n"),
+        ];
+        for input in &mm_cases {
+            let result = std::panic::catch_unwind(|| read_matrix_market(input.as_bytes()));
+            assert!(
+                matches!(result, Ok(Err(_))),
+                "read_matrix_market must return Err for {input:?}"
+            );
+        }
+        let dimacs_cases = [
+            String::new(),
+            "c only comments\n".to_string(),
+            "a 1 2 1\n".to_string(),
+            "p sp 2\n".to_string(),
+            "p max 2 1\n".to_string(),
+            "p sp x 1\n".to_string(),
+            "p sp 4294967296 0\n".to_string(),
+            // A huge declared arc count must not size an allocation.
+            "p sp 2 1000000000000000\nz\n".to_string(),
+            format!("p sp 2 {}\nz\n", usize::MAX),
+            "p sp 2 1\na 0 1 1\n".to_string(),
+            "p sp 2 1\na 1 3 1\n".to_string(),
+            "p sp 2 1\na 1\n".to_string(),
+            "p sp 2 1\na x 1 1\n".to_string(),
+            "p sp 2 1\nz nonsense\n".to_string(),
+        ];
+        for input in &dimacs_cases {
+            let result = std::panic::catch_unwind(|| read_dimacs(input.as_bytes()));
+            assert!(
+                matches!(result, Ok(Err(_))),
+                "read_dimacs must return Err for {input:?}"
+            );
+        }
     }
 
     #[test]

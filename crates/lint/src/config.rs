@@ -183,13 +183,13 @@ impl Config {
                     fns: &["push"],
                 },
                 HotDenyEntry {
-                    // LoadBalancer decision callbacks: per-step trait-object
-                    // dispatch from the scheduler; must stay alloc-free
-                    // (pinned by the steal/chunk `alloc_count.rs`
-                    // scenarios). Default trait methods cannot carry the
-                    // `#[atos_hot]` attribute usefully, so denylist them.
+                    // `LoadBalance` decision methods: plain matches on the
+                    // discipline enum, called from every scheduler step;
+                    // must stay alloc-free (pinned by the steal/chunk
+                    // `alloc_count.rs` scenarios). Steal sizing lives in
+                    // `runtime.rs`'s `#[atos_hot]` `steal_from`.
                     file_suffix: "crates/core/src/loadbalance.rs",
-                    fns: &["victim_score", "steal_count", "edge_budget", "steal_grain"],
+                    fns: &["victim_score", "edge_budget", "steals", "tracks_edges"],
                 },
             ],
             kernel_scopes: &[
@@ -213,6 +213,7 @@ impl Config {
                     fns: &[
                         "step",
                         "absorb_local",
+                        "enqueue",
                         "dispatch_remote",
                         "flush_bundle",
                         "route",
@@ -230,11 +231,12 @@ impl Config {
                     forbid_index: false,
                 },
                 KernelScope {
-                    // LoadBalancer decision callbacks: consulted on every
-                    // scheduler step (victim scoring, steal sizing), inside
-                    // the same no-panic envelope as the step itself.
+                    // `LoadBalance` decision methods: consulted on every
+                    // scheduler step (victim scoring, steal budgets),
+                    // inside the same no-panic envelope as the step
+                    // itself; steal sizing is inline in `steal_from`.
                     file_suffix: "crates/core/src/loadbalance.rs",
-                    fns: &["victim_score", "steal_count", "edge_budget", "steal_grain"],
+                    fns: &["victim_score", "edge_budget", "steals", "tracks_edges"],
                     forbid_index: false,
                 },
                 KernelScope {

@@ -66,7 +66,7 @@ echo "ok: sweep report records sim_threads"
 
 echo
 echo "== load-balance smoke (owner byte-identity, steal/chunk determinism) =="
-# The LoadBalancer trait (DESIGN.md §10) must be invisible under the
+# Load balancing (DESIGN.md §10) must be invisible under the
 # default discipline: --load-balance owner is byte-identical to the
 # plain run (and therefore to the committed goldens below). steal/chunk
 # legitimately change the schedule and the virtual clock, but the
